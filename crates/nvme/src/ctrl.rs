@@ -95,7 +95,7 @@ struct CqState {
 }
 
 /// Counters exposed for tests and reports.
-#[derive(Default, Clone, Debug)]
+#[derive(Default, Clone, Debug, PartialEq, Eq)]
 pub struct CtrlStats {
     /// SQEs fetched from submission queues.
     pub commands_fetched: u64,
@@ -120,8 +120,10 @@ pub struct NvmeController {
     store: Rc<BlockStore>,
     config: NvmeConfig,
     cap: Cap,
-    dev: Cell<Option<DeviceId>>,
-    weak_self: RefCell<Weak<NvmeController>>,
+    dev: DeviceId,
+    /// The fabric holds the controller through this same weak reference;
+    /// the `Rc` returned by [`NvmeController::attach`] owns it.
+    weak_self: Weak<NvmeController>,
     regs: RefCell<Regs>,
     // Ordered by qid: `reset` walks these to wake parked workers, and the
     // wake order must be reproducible run-to-run (determinism).
@@ -144,7 +146,9 @@ type InflightMap = BTreeMap<(u16, u16), Rc<Cell<bool>>>;
 
 impl NvmeController {
     /// Create the controller, attach it to `host`'s domain at topology node
-    /// `at`, and return it.
+    /// `at`, and return it. The fabric refers to the controller weakly:
+    /// the returned `Rc` owns it, and dropping the last clone frees the
+    /// controller and its media even though it stays attached.
     pub fn attach(
         fabric: &Fabric,
         host: HostId,
@@ -158,33 +162,31 @@ impl NvmeController {
             to: 20,
             cqr: true,
         };
-        let ctrl = Rc::new(NvmeController {
-            fabric: fabric.clone(),
-            handle: fabric.handle(),
-            store,
-            exec_sem: Semaphore::new(config.max_exec),
-            cap,
-            config,
-            dev: Cell::new(None),
-            weak_self: RefCell::new(Weak::new()),
-            regs: RefCell::new(Regs::default()),
-            sqs: RefCell::new(BTreeMap::new()),
-            cqs: RefCell::new(BTreeMap::new()),
-            stats: RefCell::new(CtrlStats::default()),
-            error_log: RefCell::new(Vec::new()),
-            last_error_lba: Cell::new(None),
-            inflight: RefCell::new(BTreeMap::new()),
-        });
-        *ctrl.weak_self.borrow_mut() = Rc::downgrade(&ctrl);
-        let bar0 = ctrl.config.bar0_size;
-        let dev = fabric.add_device(host, at, &[bar0], ctrl.clone());
-        ctrl.dev.set(Some(dev));
-        ctrl
+        Rc::new_cyclic(|weak_self: &Weak<NvmeController>| {
+            let dev = fabric.add_device(host, at, &[config.bar0_size], weak_self.clone());
+            NvmeController {
+                fabric: fabric.clone(),
+                handle: fabric.handle(),
+                store,
+                exec_sem: Semaphore::new(config.max_exec),
+                cap,
+                config,
+                dev,
+                weak_self: weak_self.clone(),
+                regs: RefCell::new(Regs::default()),
+                sqs: RefCell::new(BTreeMap::new()),
+                cqs: RefCell::new(BTreeMap::new()),
+                stats: RefCell::new(CtrlStats::default()),
+                error_log: RefCell::new(Vec::new()),
+                last_error_lba: Cell::new(None),
+                inflight: RefCell::new(BTreeMap::new()),
+            }
+        })
     }
 
     /// The controller's fabric device id.
     pub fn device_id(&self) -> DeviceId {
-        self.dev.get().expect("controller not attached")
+        self.dev
     }
 
     /// The capabilities register value.
@@ -208,7 +210,7 @@ impl NvmeController {
     }
 
     fn me(&self) -> Rc<NvmeController> {
-        self.weak_self.borrow().upgrade().expect("controller gone")
+        self.weak_self.upgrade().expect("controller gone")
     }
 
     fn identify_controller_data(&self) -> IdentifyController {

@@ -14,7 +14,7 @@
 //! modeling work done outside the measured path.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use simcore::sched::{ChoiceKind, ChoiceOption, Footprint};
 use simcore::sync::Notify;
@@ -57,7 +57,9 @@ struct DeviceRec {
     host: HostId,
     node: NodeId,
     bars: Vec<BarRec>,
-    handler: Rc<dyn MmioDevice>,
+    /// The fabric never owns a device: whoever attached it holds the
+    /// `Rc`, so dropping a testbed frees its devices (see [`Fabric::add_device`]).
+    handler: Weak<dyn MmioDevice>,
     /// Outbound (device writes memory) link occupancy.
     tx: SerialResource,
     /// Inbound (device reads memory) link occupancy.
@@ -206,12 +208,17 @@ impl Fabric {
 
     /// Attach a device with the given BAR sizes to `host`'s domain, linked
     /// at topology node `attach` (use `rc_node(host)` for a direct slot).
+    ///
+    /// The fabric keeps only a weak reference to `handler`; the caller
+    /// owns the device and must keep its `Rc` alive for as long as anything
+    /// may access its BARs. An MMIO access that reaches a device whose
+    /// owner has dropped it panics.
     pub fn add_device(
         &self,
         host: HostId,
         attach: NodeId,
         bar_sizes: &[u64],
-        handler: Rc<dyn MmioDevice>,
+        handler: Weak<dyn MmioDevice>,
     ) -> DeviceId {
         let mut st = self.inner.state.borrow_mut();
         let id = DeviceId(st.devices.len() as u32);
@@ -1096,6 +1103,14 @@ impl Fabric {
     // Apply helpers (functional effects at delivery time)
     // ---------------------------------------------------------------
 
+    /// The MMIO handler of `dev`, upgraded for one access.
+    fn device_handler(&self, dev: DeviceId) -> Rc<dyn MmioDevice> {
+        self.inner.state.borrow().devices[dev.0 as usize]
+            .handler
+            .upgrade()
+            .unwrap_or_else(|| panic!("MMIO access to {dev:?}, which its owner dropped"))
+    }
+
     fn apply_write(&self, loc: &Location, data: &[u8]) {
         match loc {
             Location::Dram(da) => {
@@ -1106,10 +1121,7 @@ impl Fabric {
                     .expect("resolved DRAM write failed");
             }
             Location::Bar { dev, bar, offset } => {
-                let handler = {
-                    let st = self.inner.state.borrow();
-                    st.devices[dev.0 as usize].handler.clone()
-                };
+                let handler = self.device_handler(*dev);
                 // Split into at-most-8-byte register writes.
                 let mut off = *offset;
                 for chunk in data.chunks(8) {
@@ -1132,10 +1144,7 @@ impl Fabric {
                     .expect("resolved DRAM read failed");
             }
             Location::Bar { dev, bar, offset } => {
-                let handler = {
-                    let st = self.inner.state.borrow();
-                    st.devices[dev.0 as usize].handler.clone()
-                };
+                let handler = self.device_handler(*dev);
                 let mut off = *offset;
                 for chunk in buf.chunks_mut(8) {
                     let v = handler.mmio_read(*bar, off, chunk.len());

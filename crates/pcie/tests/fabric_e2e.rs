@@ -1,7 +1,7 @@
 //! End-to-end fabric tests: two-host Fig. 9b-style topology with timed
 //! CPU accesses and device DMA across the NTBs.
 
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use pcie::{
     DomainAddr, Fabric, FabricError, FabricParams, HostId, Location, MmioDevice, PhysAddr,
@@ -18,6 +18,8 @@ struct TestBed {
     dev: pcie::DeviceId,
     ntb_a: pcie::NtbId,
     ntb_b: pcie::NtbId,
+    /// The device's owner: the fabric only refers to it weakly.
+    _regs: Rc<RegisterFile>,
 }
 
 fn build() -> TestBed {
@@ -30,11 +32,12 @@ fn build() -> TestBed {
     let sw = fabric.add_switch("cluster");
     fabric.link(fabric.ntb_node(ntb_a), sw);
     fabric.link(fabric.ntb_node(ntb_b), sw);
+    let regs = Rc::new(RegisterFile::new(0x4000));
     let dev = fabric.add_device(
         host_b,
         fabric.rc_node(host_b),
         &[0x4000],
-        Rc::new(RegisterFile::new(0x4000)),
+        Rc::downgrade(&regs) as Weak<dyn MmioDevice>,
     );
     TestBed {
         rt,
@@ -44,6 +47,7 @@ fn build() -> TestBed {
         dev,
         ntb_a,
         ntb_b,
+        _regs: regs,
     }
 }
 
@@ -297,7 +301,12 @@ fn local_mmio_write_hits_handler() {
     let dev_impl = Rc::new(CountingDev {
         hits: std::cell::Cell::new(0),
     });
-    let dev = f.add_device(host, f.rc_node(host), &[0x1000], dev_impl.clone());
+    let dev = f.add_device(
+        host,
+        f.rc_node(host),
+        &[0x1000],
+        Rc::downgrade(&dev_impl) as Weak<dyn MmioDevice>,
+    );
     let bar = f.bar_region(dev, 0).unwrap();
     let hits = rt.block_on({
         let f = f.clone();
@@ -308,6 +317,44 @@ fn local_mmio_write_hits_handler() {
     });
     assert_eq!(hits, 1);
     assert_eq!(dev_impl.hits.get(), 1);
+}
+
+/// The fabric does not keep a device alive: once its owner drops the
+/// last `Rc`, the device is freed although it is still attached, and an
+/// MMIO access that reaches it panics instead of touching freed state.
+fn mmio_to_dropped_device(write: bool) {
+    let rt = SimRuntime::new();
+    let f = Fabric::new(rt.handle(), FabricParams::default());
+    let host = f.add_host(16 << 20);
+    let dev_impl = Rc::new(CountingDev {
+        hits: std::cell::Cell::new(0),
+    });
+    let weak = Rc::downgrade(&dev_impl);
+    let dev = f.add_device(host, f.rc_node(host), &[0x1000], weak.clone());
+    let bar = f.bar_region(dev, 0).unwrap();
+    drop(dev_impl);
+    assert!(weak.upgrade().is_none(), "the fabric kept the device alive");
+    rt.block_on(async move {
+        if write {
+            f.cpu_write_u32(host, bar.addr, 1).await.unwrap();
+            // The posted write applies one propagation delay later.
+            f.handle().sleep(SimDuration::from_micros(10)).await;
+        } else {
+            f.cpu_read_u32(host, bar.addr).await.unwrap();
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "which its owner dropped")]
+fn mmio_read_of_dropped_device_panics() {
+    mmio_to_dropped_device(false);
+}
+
+#[test]
+#[should_panic(expected = "which its owner dropped")]
+fn mmio_write_to_dropped_device_panics() {
+    mmio_to_dropped_device(true);
 }
 
 #[test]

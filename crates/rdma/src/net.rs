@@ -8,9 +8,9 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use pcie::{DeviceId, Fabric, HostId, MemRegion, RegisterFile};
+use pcie::{DeviceId, Fabric, HostId, MemRegion, MmioDevice, RegisterFile};
 use simcore::sync::{mpsc, Notify};
 use simcore::{Handle, SimDuration};
 
@@ -168,6 +168,8 @@ struct RecvWqe {
 struct NicState {
     host: HostId,
     dev: DeviceId,
+    /// The NIC's register file; the fabric refers to it weakly.
+    _regs: Rc<RegisterFile>,
     mrs: MrTable,
     /// Transmit wire occupancy: messages serialize on the link for their
     /// transfer time, while propagation pipelines.
@@ -207,11 +209,12 @@ impl IbNet {
 
     /// Install a NIC in `host` (attached at its root complex).
     pub fn add_nic(&self, host: HostId) -> NicId {
+        let regs = Rc::new(RegisterFile::new(0x1000));
         let dev = self.inner.fabric.add_device(
             host,
             self.inner.fabric.rc_node(host),
             &[0x1000],
-            Rc::new(RegisterFile::new(0x1000)),
+            Rc::downgrade(&regs) as Weak<dyn MmioDevice>,
         );
         // RNICs sit on wider links than the x4-calibrated base (ConnectX-5
         // is Gen3 x16; be conservative with x8-class).
@@ -221,6 +224,7 @@ impl IbNet {
         nics.push(NicState {
             host,
             dev,
+            _regs: regs,
             mrs: MrTable::default(),
             tx: simcore::SerialResource::new(self.inner.handle.clone()),
         });

@@ -1,8 +1,8 @@
 //! SmartIO service tests over a three-host NTB cluster.
 
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use pcie::{Fabric, FabricParams, HostId, NtbId, RegisterFile};
+use pcie::{Fabric, FabricParams, HostId, MmioDevice, NtbId, RegisterFile};
 use simcore::SimRuntime;
 use smartio::{AccessHints, BorrowMode, SmartIo, SmartIoError};
 
@@ -14,6 +14,8 @@ struct Bed {
     #[allow(dead_code)]
     ntbs: Vec<NtbId>,
     dev: smartio::SmartDeviceId,
+    /// The device's owner: the fabric only refers to it weakly.
+    _regs: Rc<RegisterFile>,
 }
 
 /// Three hosts on one cluster switch; a device in host 2's domain.
@@ -30,11 +32,12 @@ fn bed() -> Bed {
         hosts.push(h);
         ntbs.push(n);
     }
+    let regs = Rc::new(RegisterFile::new(0x4000));
     let dev_id = fabric.add_device(
         hosts[2],
         fabric.rc_node(hosts[2]),
         &[0x4000],
-        Rc::new(RegisterFile::new(0x4000)),
+        Rc::downgrade(&regs) as Weak<dyn MmioDevice>,
     );
     let smartio = SmartIo::new(&fabric);
     let dev = smartio.register_device(dev_id).unwrap();
@@ -45,6 +48,7 @@ fn bed() -> Bed {
         hosts,
         ntbs,
         dev,
+        _regs: regs,
     }
 }
 

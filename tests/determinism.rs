@@ -8,9 +8,13 @@
 //! differently (a violation recorded in one run only, or with different
 //! context) are just as non-deterministic as diverging schedules.
 
+use std::rc::{Rc, Weak};
+
 use blklayer::Bio;
 use cluster::{Calibration, Scenario, ScenarioKind};
-use fioflex::verify_region;
+use fioflex::{verify_region, JobSpec, RwMode};
+use nvme::{CtrlStats, NvmeController};
+use simcore::SimDuration;
 
 /// FNV-1a over the sanitize violation set, order-sensitive: the sanitizer
 /// must report the same violations in the same order on every replay.
@@ -163,6 +167,66 @@ fn fault_schedule_replays_bit_identically() {
         first, second,
         "same fault token produced diverging runs (event stream, \
          sanitizer set, or injection counters)"
+    );
+}
+
+/// What a trial's observers see: the event-stream hash, the
+/// `(reads, writes, errors)` bio counts of every client, and the
+/// controller's counters.
+#[derive(Debug, PartialEq)]
+struct TrialOutcome {
+    trace_hash: u64,
+    bios: Vec<(u64, u64, u64)>,
+    ctrl: CtrlStats,
+}
+
+/// One 8-host QD4 mixed trial with a CQE dropped mid-run, the shape of
+/// the benchmark's recovery workload. Also returns a weak handle to the
+/// controller, which the caller checks is gone once the scenario is.
+fn run_dropped_cqe_trial(seed: u64) -> (TrialOutcome, Weak<NvmeController>) {
+    let calib = Calibration::fault_recovery().with_seed(seed);
+    let sc = Scenario::build_with_faults(
+        ScenarioKind::OursMultihost { clients: 8 },
+        &calib,
+        pcie::FaultPlan::drop_nth_cqe(300),
+    );
+    let job = JobSpec::new("rebuild", RwMode::RandRw { read_pct: 70 })
+        .iodepth(4)
+        .runtime(SimDuration::from_millis(2))
+        .ramp(SimDuration::from_micros(200))
+        .seed(seed);
+    let bios = sc
+        .run_all(&job)
+        .iter()
+        .map(|r| {
+            (
+                r.read.map_or(0, |s| s.ios),
+                r.write.map_or(0, |s| s.ios),
+                r.errors,
+            )
+        })
+        .collect();
+    assert_eq!(sc.fabric.fault_stats().dropped, 1, "the CQE drop must fire");
+    let outcome = TrialOutcome {
+        trace_hash: sc.rt.trace_hash(),
+        bios,
+        ctrl: sc.ctrl.stats(),
+    };
+    (outcome, Rc::downgrade(&sc.ctrl))
+}
+
+#[test]
+fn rebuild_after_drop_is_deterministic() {
+    // Run the same trial twice on one thread, the first scenario dropped
+    // before the second is built, so the second run's allocations reuse
+    // the first's freed memory. Nothing address-dependent (pointer-keyed
+    // maps, allocation order) may reach simulated behaviour.
+    let (first, ctrl) = run_dropped_cqe_trial(7);
+    assert_eq!(ctrl.strong_count(), 0, "the first testbed was not freed");
+    let (second, _) = run_dropped_cqe_trial(7);
+    assert_eq!(
+        first, second,
+        "a rebuilt scenario diverged (event stream, bio counts or controller counters)"
     );
 }
 
