@@ -9,6 +9,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use pcie::is_zero;
 use simcore::sync::Semaphore;
 use simcore::{Handle, SimDuration, SimRng};
 
@@ -65,6 +66,8 @@ impl MediaProfile {
 
 /// In-memory sparse block store with a latency model. This is the
 /// "storage medium" an [`crate::ctrl::NvmeController`] executes against.
+/// Absent means zero: only blocks holding nonzero data are stored, and a
+/// block written or zeroed back to all zeros gives up its entry.
 pub struct BlockStore {
     handle: Handle,
     profile: MediaProfile,
@@ -186,18 +189,24 @@ impl BlockStore {
         }
     }
 
-    /// Untimed functional write (test setup).
+    /// Untimed functional write (test setup). An all-zero block is not
+    /// stored: its entry is removed, since an absent block reads as zeros.
     pub fn write_raw(&self, slba: u64, data: &[u8]) {
         let bs = self.block_size as usize;
         let mut map = self.data.borrow_mut();
         for (i, chunk) in data.chunks(bs).enumerate() {
+            let lba = slba + i as u64;
+            if is_zero(chunk) {
+                map.remove(&lba);
+                continue;
+            }
             let mut block = vec![0u8; bs].into_boxed_slice();
             block[..chunk.len()].copy_from_slice(chunk);
-            map.insert(slba + i as u64, block);
+            map.insert(lba, block);
         }
     }
 
-    /// Number of blocks that have ever been written (diagnostic).
+    /// Number of blocks holding nonzero data (diagnostic).
     pub fn resident_blocks(&self) -> usize {
         self.data.borrow().len()
     }

@@ -38,6 +38,6 @@ pub use fault::{
     CrashHost, CrashTrigger, DeliveryFault, FaultAction, FaultPlan, FaultStats, Selector,
     SeverLink, SeverMode,
 };
-pub use memory::{HostMemory, WatchHandle, PAGE_SIZE};
+pub use memory::{is_zero, HostMemory, WatchHandle, PAGE_SIZE};
 pub use params::FabricParams;
 pub use topology::{NodeKind, Topology};

@@ -1,12 +1,19 @@
 //! Host DRAM model: sparse page-granular backing store, a segment
 //! allocator, and write-watches.
 //!
+//! Absent means zero: a page that has never been materialised reads as
+//! zeros, so a write of all-zero bytes to such a page stores nothing
+//! (its watches still fire). A page is materialised by the first write
+//! that carries a nonzero byte and stays so, even if later writes zero
+//! it again; [`HostMemory::resident_pages`] counts those pages.
+//!
 //! Watches are the simulation analog of cache-line polling: a task that
 //! would spin on a completion-queue cache line instead parks on the watch's
 //! [`Notify`] and is woken at the exact virtual instant the DMA write
 //! lands. (Detection cost on a real CPU is added by the *driver* model,
 //! not here.)
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use simcore::sync::Notify;
@@ -16,6 +23,16 @@ use crate::error::{FabricError, Result};
 
 /// Memory page granularity of the allocator and backing store.
 pub const PAGE_SIZE: u64 = 4096;
+
+/// What an absent page reads as; [`is_zero`] compares against it.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
+/// Whether every byte of `data` is zero. Compares page-sized slices
+/// against a static zero page (a `memcmp` each), not byte by byte.
+pub fn is_zero(data: &[u8]) -> bool {
+    data.chunks(PAGE_SIZE as usize)
+        .all(|chunk| *chunk == ZERO_PAGE[..chunk.len()])
+}
 
 /// DRAM of one host: sparse pages plus a first-fit segment allocator.
 pub struct HostMemory {
@@ -153,11 +170,16 @@ impl HostMemory {
             let page_idx = off / PAGE_SIZE;
             let in_page = (off % PAGE_SIZE) as usize;
             let n = rest.len().min(PAGE_SIZE as usize - in_page);
-            let page = self
-                .pages
-                .entry(page_idx)
-                .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
-            page[in_page..in_page + n].copy_from_slice(&rest[..n]);
+            let chunk = &rest[..n];
+            let span = in_page..in_page + n;
+            match self.pages.entry(page_idx) {
+                Entry::Occupied(mut page) => page.get_mut()[span].copy_from_slice(chunk),
+                // An absent page already reads as these zeros.
+                Entry::Vacant(_) if is_zero(chunk) => {}
+                Entry::Vacant(slot) => {
+                    slot.insert(Box::new([0; PAGE_SIZE as usize]))[span].copy_from_slice(chunk)
+                }
+            }
             rest = &rest[n..];
             off += n as u64;
         }
@@ -212,7 +234,8 @@ impl HostMemory {
         }
     }
 
-    /// Number of materialized (touched) pages — diagnostic for memory use.
+    /// Number of materialized pages: those that have received a nonzero
+    /// byte — diagnostic for memory use.
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
@@ -308,26 +331,37 @@ mod tests {
         ));
     }
 
+    /// Whether `w` holds a stored permit (consumes it).
+    fn fired(w: &WatchHandle) -> bool {
+        let n = w.notify.clone();
+        let rt = simcore::SimRuntime::new();
+        let jh = rt.handle().spawn(async move { n.notified().await });
+        rt.run();
+        jh.is_finished()
+    }
+
     #[test]
     fn watch_fires_on_overlap_only() {
         let mut m = mem();
-        let a = m.alloc(PAGE_SIZE).unwrap();
+        let a = m.alloc(2 * PAGE_SIZE).unwrap();
         let w = m.watch(a.offset(100), 16);
         // Non-overlapping write: no permit stored.
         m.write(a, &[1u8; 50]).unwrap();
-        assert_eq!(w.notify.waiter_count(), 0);
-        // Overlapping write stores a permit we can consume synchronously.
+        assert!(!fired(&w));
+        // Overlapping write stores a permit.
         m.write(a.offset(110), &[2u8; 4]).unwrap();
-        let rt = simcore::SimRuntime::new();
-        let n = w.notify.clone();
-        rt.block_on(async move { n.notified().await });
+        assert!(fired(&w));
+        // A zero write to a page never materialised stores nothing, but
+        // a watch it overlaps still fires, and one it misses does not.
+        let far = m.watch(a.offset(PAGE_SIZE + 8), 8);
+        m.write(a.offset(PAGE_SIZE), &[0u8; 8]).unwrap();
+        assert!(!fired(&far));
+        m.write(a.offset(PAGE_SIZE + 12), &[0u8; 8]).unwrap();
+        assert_eq!(m.resident_pages(), 1, "the zero writes were skipped");
+        assert!(fired(&far));
         // Unwatch: further writes don't fire.
         m.unwatch(&w);
         m.write(a.offset(110), &[3u8; 4]).unwrap();
-        let n2 = w.notify.clone();
-        let rt2 = simcore::SimRuntime::new();
-        let jh = rt2.handle().spawn(async move { n2.notified().await });
-        rt2.run();
-        assert!(!jh.is_finished(), "watch must not fire after unwatch");
+        assert!(!fired(&w), "watch must not fire after unwatch");
     }
 }

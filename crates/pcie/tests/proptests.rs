@@ -1,12 +1,31 @@
 //! Property tests on fabric invariants: the allocator never hands out
-//! overlapping memory, NTB translation is a consistent bijection over its
-//! window, and path lookup is symmetric and stable.
+//! overlapping memory, sparse host memory reads like a flat buffer, NTB
+//! translation is a consistent bijection over its window, and path
+//! lookup is symmetric and stable.
 
 use proptest::prelude::*;
 
 use pcie::ntb::Ntb;
 use pcie::topology::{NodeKind, Topology};
-use pcie::{DeviceId, DomainAddr, HostId, HostMemory, NodeId, NtbId, PhysAddr};
+use pcie::{DeviceId, DomainAddr, HostId, HostMemory, NodeId, NtbId, PhysAddr, PAGE_SIZE};
+
+/// Pages of DRAM the sparse-memory property writes into.
+const PAGES: u64 = 8;
+
+/// Bytes for one generated write: all zeros (`kind` 0), a pattern with no
+/// zero byte (1), or zeros with one nonzero byte at `pos % len` (2), which
+/// a zero test that skips bytes would miss.
+fn fill(kind: u8, seed: u8, pos: u64, len: usize) -> Vec<u8> {
+    match kind {
+        0 => vec![0; len],
+        1 => (0..len).map(|i| (i as u8).wrapping_add(seed) | 1).collect(),
+        _ => {
+            let mut data = vec![0; len];
+            data[pos as usize % len] = seed | 1;
+            data
+        }
+    }
+}
 
 proptest! {
     /// Random alloc/free interleavings: live allocations never overlap,
@@ -61,6 +80,56 @@ proptest! {
         let mut sentinel = [0u8; 1];
         mem.read(seg, &mut sentinel).unwrap();
         prop_assert_eq!(sentinel[0], 0xAA);
+    }
+
+    /// `is_zero` agrees with a byte loop for every length up to three
+    /// pages and every position of a single (possibly zero) byte.
+    #[test]
+    fn is_zero_matches_a_byte_loop(
+        len in 0usize..3 * PAGE_SIZE as usize + 100,
+        pos in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut data = vec![0u8; len];
+        if len > 0 {
+            data[pos % len] = byte;
+        }
+        prop_assert_eq!(pcie::is_zero(&data), data.iter().all(|&b| b == 0));
+    }
+
+    /// Absent means zero: random zero, nonzero and nearly-zero writes,
+    /// unaligned and crossing pages, read back exactly like a flat
+    /// reference buffer, and a page is materialised exactly when some
+    /// write has carried a nonzero byte into it.
+    #[test]
+    fn sparse_memory_matches_flat_reference(
+        ops in prop::collection::vec(
+            (0u8..3, 0u64..PAGES * PAGE_SIZE, 1u64..3 * PAGE_SIZE, any::<u8>(), any::<u64>()),
+            1..40,
+        ),
+    ) {
+        let mut mem = HostMemory::new(HostId(0), PAGES * PAGE_SIZE);
+        let base = mem.alloc(PAGES * PAGE_SIZE).unwrap();
+        let mut reference = vec![0u8; (PAGES * PAGE_SIZE) as usize];
+        let mut nonzero_pages = [false; PAGES as usize];
+        for (kind, off, len, seed, pos) in ops {
+            let len = len.min(PAGES * PAGE_SIZE - off) as usize;
+            let data = fill(kind, seed, pos, len);
+            mem.write(base.offset(off), &data).unwrap();
+            let off = off as usize;
+            reference[off..off + len].copy_from_slice(&data);
+            for (i, _) in data.iter().enumerate().filter(|(_, &b)| b != 0) {
+                nonzero_pages[(off + i) / PAGE_SIZE as usize] = true;
+            }
+            let mut back = vec![0xEE; reference.len()];
+            mem.read(base, &mut back).unwrap();
+            let diff = back.iter().zip(&reference).position(|(a, b)| a != b);
+            prop_assert!(diff.is_none(), "first difference at byte {diff:?}");
+            prop_assert_eq!(
+                mem.resident_pages(),
+                nonzero_pages.iter().filter(|&&p| p).count()
+            );
+        }
     }
 
     /// NTB translation preserves in-slot offsets for every programmed slot.
